@@ -19,6 +19,7 @@ open Toolkit
 open Mg_ndarray
 open Mg_core
 module Wl = Mg_withloop.Wl
+module Engine = Mg_withloop.Engine
 module Json = Mg_bench_util.Bench_util.Json
 module Env = Mg_bench_util.Bench_util.Env
 
@@ -71,9 +72,9 @@ let stencil_tests () =
   let r = Ndarray.create shp in
   let a = Stencil.to_array Stencil.a in
   let wl ?(linebuf = false) level () =
-    Wl.with_line_buffers linebuf (fun () ->
-        Wl.with_opt_level level (fun () ->
-            ignore (Wl.force (Mg_sac.relax_kernel Stencil.a (Wl.of_ndarray u)))))
+    Wl.with_config
+      (fun c -> { c with Engine.line_buffers = linebuf; opt_level = level })
+      (fun () -> ignore (Wl.force (Mg_sac.relax_kernel Stencil.a (Wl.of_ndarray u))))
   in
   Test.make_grouped ~name:"stencil"
     [ Test.make ~name:"wl_naive_O0" (Staged.stage (wl Wl.O0));
@@ -86,7 +87,11 @@ let stencil_tests () =
 (* --- E6: with-loop folding ------------------------------------------ *)
 
 let fusion_tests () =
-  let run level () = ignore (Driver.run ~opt:level ~impl:Driver.Sac ~cls:tiny ()) in
+  let run level () =
+    Wl.with_config
+      (fun c -> { c with Engine.opt_level = level })
+      (fun () -> ignore (Driver.run ~impl:Driver.Sac ~cls:tiny ()))
+  in
   Test.make_grouped ~name:"fusion"
     [ Test.make ~name:"tiny_O0" (Staged.stage (run Wl.O0));
       Test.make ~name:"tiny_O3" (Staged.stage (run Wl.O3));
@@ -154,26 +159,17 @@ let report results =
 (* MG_KERNELS selects the dispatch tier for bodies no fixed kernel
    recognises (generic | cfun | native; default cfun, the O2+
    default), so CI's profile-smoke can sample each tier with the same
-   binary.  Native keeps cfun on underneath as its degradation
-   target. *)
-let kernel_tier =
+   binary.  The whole suite runs under the default engine derived to
+   that tier. *)
+let kernel_tier, configure =
   match Option.map String.lowercase_ascii (Sys.getenv_opt "MG_KERNELS") with
-  | Some "generic" -> "generic"
-  | Some "native" -> "native"
-  | _ -> "cfun"
+  | Some "generic" -> ("generic", Engine.kernel_tier `Generic)
+  | Some "native" -> ("native", Engine.kernel_tier `Native)
+  | _ -> ("cfun", Fun.id)
 
 let () =
   Printf.printf "sac_mg benchmark suite (scaled-down classes; see bin/fig*.exe for full sizes)\n";
-  (* Per-kernel ns/elt histograms ride along in the metrics section. *)
-  Wl.set_kernel_timing true;
-  (match kernel_tier with
-  | "generic" ->
-      Wl.set_cfun false;
-      Wl.set_native false
-  | "native" ->
-      Wl.set_cfun true;
-      Wl.set_native true
-  | _ -> ());
+  Wl.with_config configure @@ fun () ->
   let all =
     List.concat_map
       (fun (tests, cfg) ->
@@ -188,16 +184,17 @@ let () =
       ]
   in
   let cstats = Wl.cache_stats () in
+  let cfg = Engine.config (Engine.current ()) in
   let json =
     Json.Obj
       [ ("schema", Json.Int 1);
         ("suite", Json.String "sac_mg_bench");
         ("unix_time", Json.Float (Unix.time ()));
         ("env", Json.String (Env.description ()));
-        ("sched_policy", Json.String (Mg_smp.Sched_policy.to_string (Wl.get_sched_policy ())));
-        ("backend", Json.String (Mg_withloop.Backend.name (Wl.get_backend ())));
-        ("reuse", Json.String (if Wl.get_reuse () then "on" else "off"));
-        ("pooling", Json.String (if Wl.get_pooling () then "on" else "off"));
+        ("sched_policy", Json.String (Mg_smp.Sched_policy.to_string cfg.Engine.sched));
+        ("backend", Json.String (Mg_withloop.Backend.name cfg.Engine.backend));
+        ("reuse", Json.String (if cfg.Engine.reuse then "on" else "off"));
+        ("pooling", Json.String (if cfg.Engine.pooling then "on" else "off"));
         ("kernel_tier", Json.String kernel_tier);
         ("kernels",
          Json.Obj
@@ -218,17 +215,17 @@ let () =
          Json.List
            (List.map
               (fun e ->
-                let s = Mg_withloop.Engine.cache_stats e in
+                let s = Engine.cache_stats e in
                 Json.Obj
-                  [ ("id", Json.Int (Mg_withloop.Engine.id e));
-                    ("plans", Json.Int (Mg_withloop.Engine.cache_length e));
+                  [ ("id", Json.Int (Engine.id e));
+                    ("plans", Json.Int (Engine.cache_length e));
                     ("hits", Json.Int s.Mg_withloop.Plan_cache.hits);
                     ("misses", Json.Int s.Mg_withloop.Plan_cache.misses);
                     ("evictions", Json.Int s.Mg_withloop.Plan_cache.evictions);
                     ("uncacheable", Json.Int s.Mg_withloop.Plan_cache.uncacheable);
                     ("saved_seconds", Json.Float s.Mg_withloop.Plan_cache.saved_seconds);
                   ])
-              (Mg_withloop.Engine.all ())));
+              (Engine.all ())));
         (* The whole metrics registry — labelled shards included, with
            the labels folded into the key — so new instruments land in
            the bench record without touching this file again. *)

@@ -27,6 +27,7 @@
 open Mg_ndarray
 open Mg_core
 module Wl = Mg_withloop.Wl
+module Engine = Mg_withloop.Engine
 module Table = Mg_bench_util.Bench_util.Table
 module Timing = Mg_bench_util.Bench_util.Timing
 module Trace = Mg_smp.Trace
@@ -43,9 +44,9 @@ let stencil_ablation n =
   let a = Stencil.to_array Stencil.a in
   let elements = float_of_int (n * n * n) in
   let wl_variant ?(linebuf = false) level () =
-    Wl.with_line_buffers linebuf (fun () ->
-        Wl.with_opt_level level (fun () ->
-            ignore (Wl.force (Mg_sac.relax_kernel Stencil.a (Wl.of_ndarray u)))))
+    Wl.with_config
+      (fun c -> { c with Engine.line_buffers = linebuf; opt_level = level })
+      (fun () -> ignore (Wl.force (Mg_sac.relax_kernel Stencil.a (Wl.of_ndarray u))))
   in
   let variants =
     [ ("with-loop, naive (O0)", fun () -> wl_variant Wl.O0 ());
@@ -85,10 +86,9 @@ let kernel_ablation n =
   let c_cfun = Mg_obs.Metrics.counter "kernel.cfun" in
   let c_native = Mg_obs.Metrics.counter "kernel.native" in
   let sweep ~cfun ~native () =
-    Wl.with_cfun cfun (fun () ->
-        Wl.with_native native (fun () ->
-            Wl.with_opt_level Wl.O3 (fun () ->
-                ignore (Wl.force (Mg_sac.coarse2fine (Wl.of_ndarray z))))))
+    Wl.with_config
+      (fun c -> { c with Engine.cfun; native; opt_level = Wl.O3 })
+      (fun () -> ignore (Wl.force (Mg_sac.coarse2fine (Wl.of_ndarray z))))
   in
   let elements = float_of_int (n * n * n) in
   let rows =
@@ -124,7 +124,11 @@ let fusion_ablation (cls : Classes.t) =
   let rows =
     List.map
       (fun level ->
-        let r = Driver.run ~opt:level ~trace:true ~impl:Driver.Sac ~cls () in
+        let r =
+          Wl.with_config
+            (fun c -> { c with Engine.opt_level = level })
+            (fun () -> Driver.run ~trace:true ~impl:Driver.Sac ~cls ())
+        in
         let loops = List.length r.Driver.events in
         let bytes =
           List.fold_left (fun acc (e : Trace.event) -> acc + e.Trace.bytes_alloc) 0 r.Driver.events
@@ -225,7 +229,9 @@ let reuse_ablation (cls : Classes.t) =
         let h0 = Mg_obs.Metrics.value c_hits and b0 = Mg_obs.Metrics.value c_bytes in
         let mw0 = (Gc.quick_stat ()).Gc.minor_words in
         let r =
-          Wl.with_cfun cfun (fun () -> Driver.run ~reuse ~impl:Driver.Sac ~cls ())
+          Wl.with_config
+            (fun c -> { c with Engine.cfun; reuse })
+            (fun () -> Driver.run ~impl:Driver.Sac ~cls ())
         in
         let h1 = Mg_obs.Metrics.value c_hits and b1 = Mg_obs.Metrics.value c_bytes in
         let mw1 = (Gc.quick_stat ()).Gc.minor_words in
@@ -293,14 +299,10 @@ let run stencil fusion memory periodic kernelpath reuse kernels n cls =
     periodic_ablation cls
   end
   in
-  (* A scoped engine derivation, not Wl.set_cfun: the override is
-     gone when the sections return, and the binary stays usable under
-     MG_ENGINE_STRICT=1.  Native keeps cfun on underneath as its
-     degradation target. *)
+  (* A scoped engine derivation: the override is gone when the
+     sections return. *)
   (match kernels with
-  | Some `Generic -> Wl.with_cfun false (fun () -> Wl.with_native false run_sections)
-  | Some `Cfun -> Wl.with_cfun true (fun () -> Wl.with_native false run_sections)
-  | Some `Native -> Wl.with_cfun true (fun () -> Wl.with_native true run_sections)
+  | Some k -> Wl.with_config (Engine.kernel_tier k) run_sections
   | None -> run_sections ());
   0
 

@@ -59,7 +59,7 @@ let with_profile enabled f =
   if not enabled then f ()
   else begin
     Mg_obs.Span.clear ();
-    let r = Mg_withloop.Wl.with_observe true f in
+    let r = Mg_obs.Span.with_enabled true f in
     Format.printf "@.%s%!" (Mg_obs.Profile_report.render (Mg_obs.Span.events ()));
     r
   end

@@ -14,13 +14,11 @@ module Table = Mg_bench_util.Bench_util.Table
 let run classes repeats csv kernels =
   Exp_common.header ();
   Printf.printf "# Figure 11: single-processor runtimes (best of %d)\n\n" repeats;
-  (* A scoped engine derivation (strict-safe): the SAC leg's kernel
-     tier for unrecognised bodies; F77/C are unaffected. *)
+  (* A scoped engine derivation: the SAC leg's kernel tier for
+     unrecognised bodies; F77/C are unaffected. *)
   let with_kernels f =
     match kernels with
-    | Some `Generic -> Mg_withloop.Wl.with_cfun false (fun () -> Mg_withloop.Wl.with_native false f)
-    | Some `Cfun -> Mg_withloop.Wl.with_cfun true (fun () -> Mg_withloop.Wl.with_native false f)
-    | Some `Native -> Mg_withloop.Wl.with_cfun true (fun () -> Mg_withloop.Wl.with_native true f)
+    | Some k -> Mg_withloop.Wl.with_config (Mg_withloop.Engine.kernel_tier k) f
     | None -> f ()
   in
   with_kernels @@ fun () ->

@@ -26,7 +26,7 @@ let paper_p10 (cls : Classes.t) impl =
 
 let run classes max_procs sched profile csv =
   Exp_common.with_profile profile @@ fun () ->
-  Mg_withloop.Wl.with_sched_policy sched @@ fun () ->
+  Mg_withloop.(Wl.with_config (fun c -> { c with Engine.sched })) @@ fun () ->
   Exp_common.header ();
   Printf.printf
     "# Figure 12: simulated speedups vs own sequential time (trace-driven SMP model)\n";

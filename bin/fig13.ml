@@ -12,7 +12,7 @@ module Smp_sim = Mg_smp.Smp_sim
 
 let run classes max_procs sched profile csv =
   Exp_common.with_profile profile @@ fun () ->
-  Mg_withloop.Wl.with_sched_policy sched @@ fun () ->
+  Mg_withloop.(Wl.with_config (fun c -> { c with Engine.sched })) @@ fun () ->
   Exp_common.header ();
   Printf.printf "# Figure 13: simulated speedups vs sequential Fortran-77 time\n";
   Printf.printf "# with-loop scheduling policy: %s\n\n" (Mg_smp.Sched_policy.to_string sched);

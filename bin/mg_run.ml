@@ -12,6 +12,7 @@
                   or Perfetto, one lane per domain. *)
 
 open Mg_core
+module Engine = Mg_withloop.Engine
 module Trace = Mg_smp.Trace
 module Span = Mg_obs.Span
 
@@ -43,15 +44,9 @@ let print_trace (events : Trace.event list) =
   List.iter (fun (tag, t, c) -> Format.printf "  %-20s %6d calls  %9.4f s@." tag c t) rows
 
 let run impl cls opt threads sched tile backend kernels reuse pooling profile metrics_out flight
-    custom_nx custom_nit =
+    custom =
   Mg_obs.Flight.install_sigusr1 ();
-  let cls =
-    match (custom_nx, custom_nit) with
-    | Some nx, nit ->
-        Classes.make_custom ~name:(Printf.sprintf "custom%d" nx) ~nx
-          ~nit:(Option.value nit ~default:4)
-    | None, _ -> cls
-  in
+  let cls = Option.value custom ~default:cls in
   (* --tile both shapes and implies the tiled policy. *)
   let sched =
     match tile with
@@ -61,23 +56,25 @@ let run impl cls opt threads sched tile backend kernels reuse pooling profile me
   let modes = Option.value profile ~default:[] in
   let trace = List.mem Ptrace modes in
   let observe = List.exists (function Preport | Pchrome _ -> true | Ptrace -> false) modes in
-  if observe then Mg_withloop.Wl.set_kernel_timing true;
-  (* Tier ladder: native keeps cfun on underneath as its degradation
-     target; generic switches both staging tiers off. *)
-  let cfun, native =
-    match kernels with
-    | Some `Generic -> (Some false, Some false)
-    | Some `Cfun -> (Some true, Some false)
-    | Some `Native -> (Some true, Some true)
-    | None -> (None, None)
+  let configure (c : Engine.config) =
+    let c =
+      { c with
+        Engine.opt_level = opt;
+        threads;
+        sched;
+        backend;
+        reuse = Option.value reuse ~default:c.Engine.reuse;
+        pooling = Option.value pooling ~default:c.Engine.pooling;
+      }
+    in
+    match kernels with Some k -> Engine.kernel_tier k c | None -> c
   in
-  let drive () =
-    Driver.run ~opt ~threads ~sched ~backend ?cfun ?native ?reuse ?pooling ~trace ~impl ~cls ()
-  in
+  let engine = Engine.derive (Engine.current ()) configure in
+  let drive () = Driver.run ~engine ~trace ~impl ~cls () in
   let result =
     if observe then begin
       Span.clear ();
-      Mg_withloop.Wl.with_observe true drive
+      Span.with_enabled true drive
     end
     else drive ()
   in
@@ -122,11 +119,11 @@ let class_conv =
 
 let opt_conv =
   let parse s =
-    match Mg_withloop.Wl.opt_level_of_string s with
+    match Engine.opt_level_of_string s with
     | Some l -> Ok l
     | None -> Error (`Msg (Printf.sprintf "unknown optimisation level %S (O0..O3)" s))
   in
-  Arg.conv (parse, fun ppf l -> Format.pp_print_string ppf (Mg_withloop.Wl.opt_level_to_string l))
+  Arg.conv (parse, fun ppf l -> Format.pp_print_string ppf (Engine.opt_level_to_string l))
 
 let impl_arg =
   Arg.(value & opt impl_conv Driver.Sac & info [ "i"; "impl" ] ~docv:"IMPL" ~doc:"Implementation: sac, f77, c or periodic (the §7 border-free variant).")
@@ -135,10 +132,22 @@ let class_arg =
   Arg.(value & opt class_conv Classes.class_s & info [ "c"; "class" ] ~docv:"CLASS" ~doc:"Problem class (tiny, mini, S, W, W128, A, B, C).")
 
 let opt_arg =
-  Arg.(value & opt opt_conv Mg_withloop.Wl.O3 & info [ "O"; "opt" ] ~docv:"LEVEL" ~doc:"With-loop optimisation level (sac only): O0..O3.")
+  Arg.(value & opt opt_conv Engine.O3 & info [ "O"; "opt" ] ~docv:"LEVEL" ~doc:"With-loop optimisation level (sac only): O0..O3.")
+
+(* Integers the engine or the class table would reject later with an
+   uncaught [Invalid_argument] are usage errors here instead. *)
+let int_conv ~what ok =
+  let parse s =
+    match int_of_string_opt (String.trim s) with
+    | Some n when ok n -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "bad %s %S" what s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let positive_conv = int_conv ~what:"count (expected an integer >= 1)" (fun n -> n >= 1)
 
 let threads_arg =
-  Arg.(value & opt int 1 & info [ "t"; "threads" ] ~docv:"N" ~doc:"Worker domains for with-loop execution.")
+  Arg.(value & opt positive_conv 1 & info [ "t"; "threads" ] ~docv:"N" ~doc:"Worker domains for with-loop execution (>= 1).")
 
 let sched_conv =
   let parse s =
@@ -254,11 +263,26 @@ let flight_arg =
        & info [ "flight" ]
            ~doc:"Print the flight recorder (the bounded ring of per-solve summary records)                  after the run.  The same dump is available at any time via $(b,SIGUSR1).")
 
+let extent_conv =
+  int_conv ~what:"grid extent (expected a power of two >= 4)" (fun n -> n >= 4 && n land (n - 1) = 0)
+
 let nx_arg =
-  Arg.(value & opt (some int) None & info [ "nx" ] ~docv:"N" ~doc:"Custom grid extent (power of two; overrides --class).")
+  Arg.(value & opt (some extent_conv) None & info [ "nx" ] ~docv:"N" ~doc:"Custom grid extent (power of two >= 4; overrides --class).")
 
 let nit_arg =
-  Arg.(value & opt (some int) None & info [ "nit" ] ~docv:"N" ~doc:"Custom iteration count (with --nx).")
+  Arg.(value & opt (some positive_conv) None & info [ "nit" ] ~docv:"N" ~doc:"Custom iteration count (>= 1; requires --nx, default 4).")
+
+let custom_class nx nit =
+  match (nx, nit) with
+  | Some nx, nit ->
+      Ok
+        (Some
+           (Classes.make_custom ~name:(Printf.sprintf "custom%d" nx) ~nx
+              ~nit:(Option.value nit ~default:4)))
+  | None, Some _ -> Error "--nit requires --nx"
+  | None, None -> Ok None
+
+let custom_arg = Term.(cli_parse_result' (const custom_class $ nx_arg $ nit_arg))
 
 let cmd =
   let doc = "run the NAS benchmark MG (SAC-style, Fortran-77-style or C-style)" in
@@ -266,6 +290,6 @@ let cmd =
     (Cmd.info "mg_run" ~doc)
     Term.(const run $ impl_arg $ class_arg $ opt_arg $ threads_arg $ sched_arg $ tile_arg
           $ backend_arg $ kernels_arg $ reuse_arg $ pooling_arg $ profile_arg $ metrics_out_arg
-          $ flight_arg $ nx_arg $ nit_arg)
+          $ flight_arg $ custom_arg)
 
 let () = exit (Cmd.eval' cmd)

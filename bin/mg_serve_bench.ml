@@ -161,19 +161,12 @@ let twin_check ~(cfg : Serve.config) responses =
           ~config:{ cfg.Serve.engine_config with Mg_withloop.Engine.threads = cfg.Serve.solver_threads }
           ()
       in
-      let cfun, native =
-        match spec.Serve.tier with
-        | Some Serve.Generic -> (Some false, Some false)
-        | Some Serve.Cfun -> (Some true, Some false)
-        | Some Serve.Native -> (Some true, Some true)
-        | None -> (None, None)
-      in
       let twin =
         Fun.protect
           ~finally:(fun () -> Mg_withloop.Engine.shutdown e)
           (fun () ->
-            Driver.run ~engine:e ?opt:spec.Serve.opt ?sched:spec.Serve.sched ?cfun ?native
-              ~impl:spec.Serve.impl ~cls:spec.Serve.cls ())
+            Driver.run ~engine:(Serve.spec_engine e spec) ~impl:spec.Serve.impl
+              ~cls:spec.Serve.cls ())
       in
       let mismatches =
         List.filter

@@ -23,29 +23,15 @@ type result = {
 }
 
 (* Each call derives a one-shot engine from the caller's (or the
-   given) engine and installs it for the duration of the solve: no
-   global is mutated, nothing needs restoring, and a raising solve
-   cannot leak settings into the next caller.  Concurrent runs with
+   given) engine and installs it for the duration of the solve: its
+   fresh id owns the request's arena scope, so two solves multiplexed
+   onto one domain never share a recycle trail.  Concurrent runs with
    different configurations are safe when each uses its own created
    engine (derived engines share their parent's execution pool, which
    is not reentrant). *)
-let run ?engine ?tenant ?opt ?threads ?sched ?backend ?cfun ?native ?reuse ?pooling
-    ?line_buffers ?(trace = false) ~impl ~cls () =
+let run ?engine ?tenant ?(trace = false) ~impl ~cls () =
   let base = match engine with Some e -> e | None -> Engine.current () in
-  let e =
-    Engine.derive base (fun c ->
-        { c with
-          Engine.opt_level = Option.value opt ~default:c.Engine.opt_level;
-          threads = Option.value threads ~default:c.Engine.threads;
-          sched = Option.value sched ~default:c.Engine.sched;
-          backend = Option.value backend ~default:c.Engine.backend;
-          cfun = Option.value cfun ~default:c.Engine.cfun;
-          native = Option.value native ~default:c.Engine.native;
-          reuse = Option.value reuse ~default:c.Engine.reuse;
-          pooling = Option.value pooling ~default:c.Engine.pooling;
-          line_buffers = Option.value line_buffers ~default:c.Engine.line_buffers;
-        })
-  in
+  let e = Engine.derive base Fun.id in
   Wl.with_engine e (fun () ->
       (* One trace context per solve: every span, labelled-metric bump
          and flight record below is attributed to this engine's label,
@@ -102,7 +88,9 @@ let run ?engine ?tenant ?opt ?threads ?sched ?backend ?cfun ?native ?reuse ?pool
             ~rnm2 ~verified:(Verify.status_ok status) ();
           { impl; cls; rnm2; seconds; status; events }))
 
-let traced_run ~impl ~cls = run ~threads:1 ~trace:true ~impl ~cls ()
+let traced_run ~impl ~cls =
+  let engine = Engine.derive (Engine.current ()) (fun c -> { c with Engine.threads = 1 }) in
+  run ~engine ~trace:true ~impl ~cls ()
 
 let pp_result ppf r =
   Format.fprintf ppf "%-4s %a: rnm2 = %.13e  time = %8.3f s  %a"

@@ -1,7 +1,7 @@
-(** Unified benchmark driver: run any implementation on any class with
-    a chosen optimisation level and thread count, with optional
-    operation tracing — the entry point the CLI, the experiment
-    binaries and the test-suite integration tests all share. *)
+(** Unified benchmark driver: run any implementation on any class
+    under a chosen {!Engine.t}, with optional operation tracing — the
+    entry point the CLI, the experiment binaries and the test-suite
+    integration tests all share. *)
 
 open Mg_withloop
 open Mg_smp
@@ -23,28 +23,19 @@ type result = {
 val run :
   ?engine:Engine.t ->
   ?tenant:string ->
-  ?opt:Wl.opt_level ->
-  ?threads:int ->
-  ?sched:Sched_policy.t ->
-  ?backend:Backend.t ->
-  ?cfun:bool ->
-  ?native:bool ->
-  ?reuse:bool ->
-  ?pooling:bool ->
-  ?line_buffers:bool ->
   ?trace:bool ->
   impl:impl ->
   cls:Classes.t ->
   unit ->
   result
 (** Each call solves under a one-shot engine derived from [engine]
-    (default: the calling domain's current engine) with the given
-    overrides applied; unspecified knobs inherit the base engine's
-    configuration.  No global state is mutated and nothing needs
-    restoring — a raising solve cannot leak settings into the next
-    caller.  For concurrent runs with different configurations, pass
-    each call its own {!Engine.create}d engine (derived engines share
-    their parent's execution pool, which is not reentrant).
+    (default: the calling domain's current engine) with its
+    configuration unchanged.  To solve under other settings, pass
+    [~engine:(Engine.derive e f)] or wrap the call in
+    [Wl.with_config f].  For concurrent runs with different
+    configurations, pass each call its own {!Engine.create}d engine
+    (derived engines share their parent's execution pool, which is
+    not reentrant).
 
     Every solve runs under a fresh {!Mg_obs.Scope} (labelled with the
     engine's {!Engine.label} and the optional [tenant]) and leaves one

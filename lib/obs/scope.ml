@@ -3,8 +3,8 @@
    propagated to Domain_pool workers by the pool itself (the job
    record carries the submitter's scope).  Everything a concurrent
    serving layer needs to attribute telemetry hangs off it: the solve
-   id, the engine (label) id, an optional tenant tag, the per-engine
-   observation gate, and the pre-interned labelled metric shards.
+   id, the engine (label) id, an optional tenant tag and the
+   pre-interned labelled metric shards.
 
    Shard cells are interned once, at scope creation (cold path, takes
    the registry mutex); [bump]/[observe] then reach them by a short
@@ -16,7 +16,6 @@ type t = {
   solve_id : int;
   engine_id : int;
   tenant : string option;
-  observe : bool;
   labels : Metrics.labels;
   counters : (string * Metrics.counter) array;
   histograms : (string * Metrics.histogram) array;
@@ -25,7 +24,7 @@ type t = {
 
 let solve_ids = Atomic.make 0
 
-let make ?tenant ?(observe = true) ?(counters = []) ?(histograms = []) ~engine_id () =
+let make ?tenant ?(counters = []) ?(histograms = []) ~engine_id () =
   let labels =
     ("engine", string_of_int engine_id)
     :: (match tenant with Some t -> [ ("tenant", t) ] | None -> [])
@@ -33,7 +32,6 @@ let make ?tenant ?(observe = true) ?(counters = []) ?(histograms = []) ~engine_i
   { solve_id = Atomic.fetch_and_add solve_ids 1;
     engine_id;
     tenant;
-    observe;
     labels;
     counters = Array.of_list (List.map (fun n -> (n, Metrics.counter ~labels n)) counters);
     histograms =
@@ -44,7 +42,6 @@ let make ?tenant ?(observe = true) ?(counters = []) ?(histograms = []) ~engine_i
 let solve_id s = s.solve_id
 let engine_id s = s.engine_id
 let tenant s = s.tenant
-let observing s = s.observe
 let labels s = s.labels
 
 (* ------------------------------------------------------------------ *)
@@ -53,14 +50,6 @@ let labels s = s.labels
 let key : t option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
 
 let current () = !(Domain.DLS.get key)
-
-(* The per-engine observation veto consumed by [Span.enabled]: outside
-   any scope the global switch alone decides (default open), inside a
-   scope the owning engine's [observe] flag gates the domain.  Only
-   read after the global atomic said yes, so the disabled fast path
-   never pays the DLS lookup. *)
-let local_observe () =
-  match !(Domain.DLS.get key) with None -> true | Some s -> s.observe
 
 let with_opt so f =
   let cell = Domain.DLS.get key in

@@ -9,10 +9,6 @@
     - a process-unique {e solve id} and the owning engine's
       {e (label) id} plus an optional {e tenant} tag — stamped onto
       every {!Span.event} and Chrome-trace lane;
-    - the engine's {e observation gate}: [Span.enabled] consults
-      {!local_observe} after the global switch, so an engine with
-      [observe = false] keeps its forces out of the rings even while
-      another engine records;
     - pre-interned {e labelled metric shards} (see {!Metrics}): the
       executor's cache/mempool/kernel instrumentation calls {!bump} /
       {!observe} next to the process-wide aggregate update, giving
@@ -25,7 +21,6 @@ type t
 
 val make :
   ?tenant:string ->
-  ?observe:bool ->
   ?counters:string list ->
   ?histograms:string list ->
   engine_id:int ->
@@ -34,13 +29,11 @@ val make :
 (** A fresh scope with a new solve id.  [counters]/[histograms] name
     the metric families to shard: each is interned under the scope's
     label set ([engine], plus [tenant] when given) — a cold-path
-    registry operation, done once here so {!bump} never locks.
-    [observe] (default [true]) is the per-engine span gate. *)
+    registry operation, done once here so {!bump} never locks. *)
 
 val solve_id : t -> int
 val engine_id : t -> int
 val tenant : t -> string option
-val observing : t -> bool
 val labels : t -> Metrics.labels
 
 (** {1 The domain-local current scope} *)
@@ -53,10 +46,6 @@ val with_scope : t -> (unit -> 'a) -> 'a
 val with_opt : t option -> (unit -> 'a) -> 'a
 (** Like {!with_scope} but also able to install "no scope" — the form
     the domain pool uses to mirror the submitting domain. *)
-
-val local_observe : unit -> bool
-(** The current scope's observation gate; [true] outside any scope.
-    Consumed by [Span.enabled] after the global switch. *)
 
 (** {1 Shard accounting} *)
 

@@ -17,10 +17,8 @@
 (** {1 The global switch} *)
 
 val enabled : unit -> bool
-(** The global switch {e and} the current scope's per-engine gate:
-    recording happens only when both say yes.  The global atomic is
-    read first, so the disabled fast path never pays the domain-local
-    scope lookup. *)
+(** Whether spans are being recorded (one atomic load).  Per-kernel
+    timing ([kernel.ns_elt.*]) rides on the same switch. *)
 
 val set_enabled : bool -> unit
 

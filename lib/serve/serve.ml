@@ -110,6 +110,25 @@ let set_depth t = Metrics.set_gauge t.g_depth (float_of_int (Admission.stats t.a
 (* ------------------------------------------------------------------ *)
 (* Running one request (outside the lock, on a worker domain)          *)
 
+(* The spec's overrides as one derived engine; the worker engine
+   itself when the spec overrides nothing. *)
+let spec_engine eng (s : spec) =
+  match s with
+  | { opt = None; sched = None; tier = None; _ } -> eng
+  | _ ->
+      Engine.derive eng (fun c ->
+          let c =
+            { c with
+              Engine.opt_level = Option.value s.opt ~default:c.Engine.opt_level;
+              sched = Option.value s.sched ~default:c.Engine.sched;
+            }
+          in
+          match s.tier with
+          | None -> c
+          | Some Generic -> Engine.kernel_tier `Generic c
+          | Some Cfun -> Engine.kernel_tier `Cfun c
+          | Some Native -> Engine.kernel_tier `Native c)
+
 let run_payload t widx (w : work) =
   let eng = t.engines.(widx) in
   let tenant = w.req.tenant in
@@ -120,18 +139,8 @@ let run_payload t widx (w : work) =
         Ok (v, true)
       with e -> Error (Printexc.to_string e))
   | Solve s -> (
-      let cfun, native =
-        match s.tier with
-        | Some Generic -> (Some false, Some false)
-        | Some Cfun -> (Some true, Some false)
-        | Some Native -> (Some true, Some true)
-        | None -> (None, None)
-      in
       try
-        let r =
-          Driver.run ~engine:eng ~tenant ?opt:s.opt ?sched:s.sched ?cfun ?native ~impl:s.impl
-            ~cls:s.cls ()
-        in
+        let r = Driver.run ~engine:(spec_engine eng s) ~tenant ~impl:s.impl ~cls:s.cls () in
         Ok (r.Driver.rnm2, Verify.status_ok r.Driver.status)
       with e -> Error (Printexc.to_string e))
 
@@ -227,7 +236,7 @@ let create ?config () =
       h_latency = Metrics.histogram "serve.latency_ns";
     }
   in
-  t.domains <- Array.init cfg.workers (fun i -> Domain.spawn (worker_loop t i));
+  t.domains <- Array.init cfg.workers (fun i -> Mg_smp.Domain_pool.spawn (worker_loop t i));
   t
 
 let submit t (req : request) =

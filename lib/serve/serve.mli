@@ -69,6 +69,11 @@ val spec :
   unit ->
   spec
 
+val spec_engine : Engine.t -> spec -> Engine.t
+(** The engine a worker solves [spec] under: [Engine.derive] of the
+    worker engine with the spec's overrides applied, or the worker
+    engine itself when the spec overrides nothing. *)
+
 type payload =
   | Solve of spec
   | Custom of (unit -> float)

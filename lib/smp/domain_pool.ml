@@ -64,8 +64,12 @@ let set_domain_hooks ~on_start ~on_exit =
   Atomic.set hook_start on_start;
   Atomic.set hook_exit on_exit
 
+let spawn f =
+  Domain.spawn (fun () ->
+      (Atomic.get hook_start) ();
+      Fun.protect ~finally:(Atomic.get hook_exit) f)
+
 let worker t () =
-  (Atomic.get hook_start) ();
   let last_gen = ref 0 in
   let continue = ref true in
   while !continue do
@@ -87,8 +91,7 @@ let worker t () =
           run_chunks t job;
           finish_participation t job
     end
-  done;
-  (Atomic.get hook_exit) ()
+  done
 
 let create n =
   if n < 1 then invalid_arg "Domain_pool.create: size must be >= 1";
@@ -103,7 +106,7 @@ let create n =
       stop = false;
     }
   in
-  t.domains <- List.init (n - 1) (fun _ -> Domain.spawn (worker t));
+  t.domains <- List.init (n - 1) (fun _ -> spawn (worker t));
   t
 
 let sequential = create 1

@@ -52,4 +52,10 @@ val set_domain_hooks : on_start:(unit -> unit) -> on_exit:(unit -> unit) -> unit
     with-loop arena allocator registers its arena setup/retirement
     here at load time, before any pool is created).  One registration
     slot; a later call replaces the earlier one.  The hooks only apply
-    to domains spawned after registration. *)
+    to domains spawned after registration, by a pool or by {!spawn}. *)
+
+val spawn : (unit -> 'a) -> 'a Domain.t
+(** [Domain.spawn] with the registered hooks: [on_start] before [f],
+    [on_exit] after it (also when [f] raises).  Long-lived domains
+    outside a pool (the serving workers) use this so their domain-local
+    state is retired when they exit. *)

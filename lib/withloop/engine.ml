@@ -1,13 +1,12 @@
 module Domain_pool = Mg_smp.Domain_pool
 module Sched_policy = Mg_smp.Sched_policy
 
-(* The reified engine: everything that used to live in Wl's module
-   globals — optimisation level, threading, scheduling, the plan
-   cache, the pooling/observation gates — bundled into an explicit
-   value that can be threaded through a solve.  Two engines with
+(* The reified engine: optimisation level, threading, scheduling,
+   pooling and the plan cache bundled into an explicit, immutable
+   value that is threaded through a solve.  Two engines with
    different configurations can run concurrently from separate
-   domains without trampling each other; the old global API survives
-   as a compat shim over one [default] engine. *)
+   domains without trampling each other.  A config is never mutated:
+   reconfiguration is [derive]. *)
 
 type opt_level = O0 | O1 | O2 | O3
 
@@ -24,7 +23,6 @@ type config = {
          default resolved at settings time. *)
   reuse : bool;
   pooling : bool;
-  observe : bool;
   sched : Sched_policy.t;
   backend : Backend.t;
 }
@@ -43,7 +41,6 @@ let default_config =
     native_cache = None;
     reuse = true;
     pooling = true;
-    observe = true;
     sched = Sched_policy.default;
     backend = Backend.default;
   }
@@ -78,8 +75,16 @@ let config_of_env ?(getenv = Sys.getenv_opt) () =
     native_cache;
     reuse = flag "MG_REUSE" c.reuse;
     pooling = flag "MG_POOLING" c.pooling;
-    observe = flag "MG_OBSERVE" c.observe;
   }
+
+(* The tier ladder for bodies no fixed kernel recognises: native keeps
+   cfun on underneath as its degradation target; generic switches both
+   staging tiers off. *)
+let kernel_tier tier c =
+  match tier with
+  | `Generic -> { c with cfun = false; native = false }
+  | `Cfun -> { c with cfun = true; native = false }
+  | `Native -> { c with cfun = true; native = true }
 
 (* ------------------------------------------------------------------ *)
 (* Engine values                                                       *)
@@ -95,7 +100,7 @@ type t = {
          their own id; derived engines inherit the parent's, so the
          one-shot derivations Driver.run makes per solve all share
          one metric label instead of minting unbounded cardinality. *)
-  mutable config : config;
+  config : config;
   cache : Plan.cache_entry Plan_cache.t;
   pool_ref : pool_ref;
 }
@@ -211,36 +216,11 @@ let with_current e f =
   Fun.protect ~finally:(fun () -> cell := saved) f
 
 (* ------------------------------------------------------------------ *)
-(* Strict mode: MG_ENGINE_STRICT=1 turns every compat-shim mutation of
-   the default engine into a hard error, proving the suite runs on
-   the engine API alone. *)
-
-let strict_flag =
-  Atomic.make
-    (match Sys.getenv_opt "MG_ENGINE_STRICT" with
-    | Some v -> Option.value (bool_of_string_opt v) ~default:false
-    | None -> false)
-
-let strict () = Atomic.get strict_flag
-let set_strict b = Atomic.set strict_flag b
-
-let update_default ~shim f =
-  if Atomic.get strict_flag then
-    failwith
-      (Printf.sprintf
-         "Engine: %s mutates the default engine under MG_ENGINE_STRICT=1; use Engine.create \
-          / Engine.derive or the scoped Wl.with_* combinators"
-         shim);
-  let e = default () in
-  e.config <- f e.config
-
-(* ------------------------------------------------------------------ *)
 (* Execution plumbing                                                  *)
 
 let id e = e.id
 let label e = e.label
 let config e = e.config
-let set_config e c = e.config <- c
 
 let pool e () =
   match e.pool_ref with
@@ -299,7 +279,6 @@ let settings e : Exec.settings =
       (if native_on then Some (Option.value c.native_cache ~default:"_mg_native") else None);
     reuse = reuse_on;
     pooling = c.pooling;
-    observe = c.observe;
     cache = e.cache;
     pool = pool e;
     par_threshold = c.par_threshold;
@@ -319,7 +298,7 @@ let cache_clear e =
 (* ------------------------------------------------------------------ *)
 (* Solve-scoped telemetry                                              *)
 
-let opt_level_to_string_ = function O0 -> "O0" | O1 -> "O1" | O2 -> "O2" | O3 -> "O3"
+let opt_level_to_string = function O0 -> "O0" | O1 -> "O1" | O2 -> "O2" | O3 -> "O3"
 
 (* A compact, human-readable digest of everything that shapes a solve,
    for flight-recorder records (distinct from Exec's structural cache
@@ -327,10 +306,10 @@ let opt_level_to_string_ = function O0 -> "O0" | O1 -> "O1" | O2 -> "O2" | O3 ->
 let config_fingerprint e =
   let c = e.config in
   let flag name b = if b then name else "-" ^ name in
-  Printf.sprintf "%s t%d %s %s %s %s %s %s sched=%s backend=%s"
-    (opt_level_to_string_ c.opt_level)
+  Printf.sprintf "%s t%d %s %s %s %s %s sched=%s backend=%s"
+    (opt_level_to_string c.opt_level)
     c.threads (flag "lb" c.line_buffers) (flag "cfun" c.cfun) (flag "nt" c.native)
-    (flag "reuse" c.reuse) (flag "pool" c.pooling) (flag "obs" c.observe)
+    (flag "reuse" c.reuse) (flag "pool" c.pooling)
     (Sched_policy.to_string c.sched)
     (Backend.name c.backend)
 
@@ -349,18 +328,9 @@ let scope_counters =
     "native.compile_failures";
   ]
 
-let scope_histograms =
-  [ "kernel.ns_elt.stencil";
-    "kernel.ns_elt.linebuf";
-    "kernel.ns_elt.copy";
-    "kernel.ns_elt.generic";
-    "kernel.ns_elt.interp";
-    "kernel.ns_elt.cfun";
-  ]
-
 let new_scope ?tenant e =
-  Mg_obs.Scope.make ?tenant ~observe:e.config.observe ~counters:scope_counters
-    ~histograms:scope_histograms ~engine_id:e.label ()
+  Mg_obs.Scope.make ?tenant ~counters:scope_counters ~histograms:Kernel.ns_elt_names
+    ~engine_id:e.label ()
 
 let flight_log e =
   List.filter (fun (r : Mg_obs.Flight.record) -> r.Mg_obs.Flight.engine_id = e.label)
@@ -373,4 +343,3 @@ let opt_level_of_string = function
   | "O3" | "o3" | "3" -> Some O3
   | _ -> None
 
-let opt_level_to_string = function O0 -> "O0" | O1 -> "O1" | O2 -> "O2" | O3 -> "O3"

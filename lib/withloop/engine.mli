@@ -1,20 +1,18 @@
-(** Explicit engine contexts — the reified form of what used to be
-    {!Wl}'s module globals.
+(** Explicit engine contexts: the one place executor settings live.
 
     An {!t} bundles one complete engine: the optimisation
     configuration ({!config}), a private {!Plan_cache} instance, and
-    an execution-pool handle.  Threading an engine through a solve
-    (see [Driver.run ?engine] and {!with_current}) replaces mutating
-    process globals, so two engines with different settings can solve
-    concurrently from separate domains — the prerequisite for the
-    multi-tenant solver service (ROADMAP item 1).
+    an execution-pool handle.  A solve runs under the engine passed to
+    it ([Driver.run ?engine]) or installed with {!with_current}, so
+    two engines with different settings can solve concurrently from
+    separate domains — the prerequisite for the multi-tenant solver
+    service ([Mg_serve.Serve]).
 
-    The pre-existing [Wl.set_*]/[get_*] API survives as a compat shim
-    over the {!default} engine; [MG_ENGINE_STRICT=1] ({!strict}) turns
-    any shim mutation into a hard error so CI can prove the suite runs
-    on the engine API alone.  The scoped [Wl.with_*] combinators are
-    strict-safe: they {!derive} a reconfigured engine and install it
-    with {!with_current} instead of mutating anything. *)
+    A config is immutable once its engine exists.  To change a
+    setting, {!derive} a reconfigured engine (or use
+    [Wl.with_config], which derives from the current engine and
+    installs the result for the extent of a thunk).  To read one, ask
+    the current engine: [(Engine.config (Engine.current ())).threads]. *)
 
 type opt_level =
   | O0  (** Materialise everything; one multiplication per stencil term. *)
@@ -25,10 +23,19 @@ type opt_level =
 type config = {
   opt_level : opt_level;
   threads : int;  (** Execution-pool size ([>= 1]; 1 = sequential). *)
-  par_threshold : int;  (** Minimum part cardinality for parallel execution. *)
-  split_threshold : int;  (** Minimum cardinality for generator splitting. *)
-  line_buffers : bool;  (** Line-buffered box-stencil kernels. *)
-  cfun : bool;  (** Staged kernel compilation (effective at O2+). *)
+  par_threshold : int;  (** Minimum part cardinality for parallel execution (16384). *)
+  split_threshold : int;
+      (** Minimum part cardinality for generator splitting during
+          folding (2048); smaller consumers materialise their
+          producers.  Tests of the splitting machinery set it to 0. *)
+  line_buffers : bool;
+      (** Line-buffered box-stencil kernels: per-row plane sums reused
+          across the inner loop, the Fortran port's resid/psinv
+          technique. *)
+  cfun : bool;
+      (** Staged kernel compilation (effective at O2+): bodies no fixed
+          kernel recognises become {!Cfun} closures instead of the
+          interpreted generic nest. *)
   native : bool;
       (** AOT native backend: emit C for staged kernels, compile to
           shared objects, [dlopen] at solve time (effective at O2+;
@@ -36,28 +43,35 @@ type config = {
   native_cache : string option;
       (** Shared-object cache directory for the native backend;
           [None] resolves to ["_mg_native"] at settings time. *)
-  reuse : bool;  (** Buffer-reuse analysis (effective at O2+). *)
-  pooling : bool;  (** Draw buffers from the {!Mempool} arenas. *)
-  observe : bool;
-      (** Engine-level observation gate: [false] keeps this engine's
-          forces out of traces/spans even when the process-wide
-          switches are on. *)
-  sched : Mg_smp.Sched_policy.t;
-  backend : Backend.t;
+  reuse : bool;
+      (** Buffer-reuse analysis (effective at O2+): a fully covered
+          sweep over a dying operand writes through its buffer — SAC's
+          update-in-place. *)
+  pooling : bool;
+      (** Draw buffers from the per-domain {!Mempool} arenas; [false]
+          allocates every buffer fresh (the ablation baseline). *)
+  sched : Mg_smp.Sched_policy.t;  (** Chunk shape for parallel parts. *)
+  backend : Backend.t;  (** Piece scheduler: the real pool or the tracing simulator. *)
 }
 
 val default_config : config
-(** The literal defaults (O3, 1 thread, pooling on, observation gate
-    open) — independent of the environment. *)
+(** The literal defaults (O3, 1 thread, pooling on) — independent of
+    the environment. *)
 
 val config_of_env : ?getenv:(string -> string option) -> unit -> config
 (** {!default_config} overridden by the environment: [MG_PROCS]
-    (thread count, [>= 1]), [MG_NATIVE], [MG_REUSE], [MG_POOLING],
-    [MG_OBSERVE] (booleans: [0]/[off]/[false]/[no] and
+    (thread count, [>= 1]), [MG_NATIVE], [MG_REUSE], [MG_POOLING]
+    (booleans: [0]/[off]/[false]/[no] and
     [1]/[on]/[true]/[yes]), and [MG_NATIVE_CACHE] (the AOT
     shared-object cache directory; blank is ignored).  This is the
     one place environment variables are parsed; pass [~getenv] to
     test the parsing hermetically. *)
+
+val kernel_tier : [ `Generic | `Cfun | `Native ] -> config -> config
+(** Select the kernel tier for bodies no fixed kernel recognises:
+    [`Generic] (interpreted nest: [cfun] and [native] off), [`Cfun]
+    (staged closures) or [`Native] (AOT shared objects, with [cfun]
+    kept on underneath as the degradation target). *)
 
 type t
 (** One engine: a config, a private plan cache, an execution pool. *)
@@ -89,8 +103,7 @@ val shutdown : t -> unit
 
 val default : unit -> t
 (** The process-default engine (created on first use from
-    {!config_of_env}; executes on the global domain pool).  This is
-    the engine the [Wl.set_*] compat shim mutates. *)
+    {!config_of_env}; executes on the global domain pool). *)
 
 val current : unit -> t
 (** The calling domain's dynamically-bound engine ({!with_current}),
@@ -121,18 +134,15 @@ val config_fingerprint : t -> string
 val new_scope : ?tenant:string -> t -> Mg_obs.Scope.t
 (** A fresh per-solve trace context attributed to this engine's
     {!label}, carrying pre-interned labelled shards of the
-    [plan_cache.*], [mempool.*] and [kernel.ns_elt.*] metric families
-    and the engine's [observe] setting.  [Driver.run] installs one per
-    solve with [Mg_obs.Scope.with_scope]. *)
+    [plan_cache.*], [mempool.*] and every [kernel.ns_elt.*] family
+    ({!Kernel.ns_elt_names}).  [Driver.run] installs one per solve
+    with [Mg_obs.Scope.with_scope]. *)
 
 val flight_log : t -> Mg_obs.Flight.record list
 (** Flight-recorder records attributed to this engine's {!label},
     oldest first. *)
 
 val config : t -> config
-val set_config : t -> config -> unit
-(** Replace the engine's config (takes effect on the next force).
-    Prefer {!derive} for scoped changes. *)
 
 val settings : t -> Exec.settings
 (** The executor settings for the engine's current config: the
@@ -152,17 +162,6 @@ val cache_length : t -> int
 val cache_clear : t -> unit
 (** Drop the engine's cached plans, zero its statistics, and release
     the (process-wide) pooled buffers. *)
-
-(** {1 Strict mode} *)
-
-val strict : unit -> bool
-(** [MG_ENGINE_STRICT] at start-up, or the last {!set_strict}. *)
-
-val set_strict : bool -> unit
-
-val update_default : shim:string -> (config -> config) -> unit
-(** Mutate the default engine's config — the compat shim's backend.
-    Raises [Failure] under {!strict}, naming [shim] as the offender. *)
 
 (** {1 Introspection} *)
 

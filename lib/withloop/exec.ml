@@ -21,7 +21,6 @@ type settings = {
   native : string option;  (* AOT cache dir; [None] = native tier off *)
   reuse : bool;
   pooling : bool;
-  observe : bool;
   cache : Plan.cache_entry Plan_cache.t;
   pool : unit -> Domain_pool.t;
   par_threshold : int;
@@ -33,14 +32,9 @@ type fold_op = Fadd | Fmul | Fmax | Fmin | Fcustom of (float -> float -> float)
 
 (* Observation gate shared by traces and spans: clock reads and the
    child-time bookkeeping below are skipped entirely unless some
-   consumer is listening AND the engine opted in, so a production
-   force costs no monotonic clock reads (the [Trace.emit] doc
-   promise) and an observing engine never times a silent one's
-   forces. *)
-let observing st = st.observe && (Trace.enabled () || Span.enabled ())
-
-let span_start st = if st.observe then Span.start () else Span.null
-let span_scoped st ~name f = if st.observe then Span.with_ ~name f else f ()
+   consumer is listening, so a production force costs no monotonic
+   clock reads (the [Trace.emit] doc promise). *)
+let observing () = Trace.enabled () || Span.enabled ()
 
 (* ------------------------------------------------------------------ *)
 (* Backend dispatch                                                    *)
@@ -198,8 +192,8 @@ and force_source st = function Ir.Arr a -> a | Ir.Node n -> force st n
 (* The cached fast path: bind the plan's slots to this graph's buffers
    (forcing producers on demand) and run the stored loop nests. *)
 and force_replay st (n : Ir.node) (p : Plan.cplan) (bindings : Ir.source array) : Ndarray.t =
-  let timed = observing st in
-  let sp = span_start st in
+  let timed = observing () in
+  let sp = Span.start () in
   let child_time = Domain.DLS.get child_time_key in
   let saved_child = !child_time in
   if timed then child_time := 0.0;
@@ -306,8 +300,8 @@ and force_replay st (n : Ir.node) (p : Plan.cplan) (bindings : Ir.source array) 
 (* The full pipeline; when [record] carries this graph's key and
    bindings, the compiled result is stored for later replays. *)
 and force_slow st (n : Ir.node) (record : (string * Ir.source array) option) : Ndarray.t =
-  let timed = observing st in
-  let sp = span_start st in
+  let timed = observing () in
+  let sp = Span.start () in
   let child_time = Domain.DLS.get child_time_key in
   let saved_child = !child_time in
   if timed then child_time := 0.0;
@@ -373,7 +367,7 @@ and force_slow st (n : Ir.node) (record : (string * Ir.source array) option) : N
   let cstart = Clock.now () in
   let child0 = !child_time in
   let parts =
-    span_scoped st ~name:"wl:fusion" (fun () ->
+    Span.with_ ~name:"wl:fusion" (fun () ->
         List.concat_map
           (fun (p : Ir.part) -> Fusion.optimize st.fusion ~force:(force st) p.Ir.gen p.Ir.body)
           raw_parts)
@@ -510,14 +504,14 @@ let apply_op = function
   | Fcustom f -> f
 
 let eval_fold st ~op ~neutral gen body =
-  let timed = observing st in
-  let sp = span_start st in
+  let timed = observing () in
+  let sp = Span.start () in
   let child_time = Domain.DLS.get child_time_key in
   let saved_child = !child_time in
   if timed then child_time := 0.0;
   let t0 = if timed then Clock.now () else 0.0 in
   let parts =
-    span_scoped st ~name:"wl:fusion" (fun () ->
+    Span.with_ ~name:"wl:fusion" (fun () ->
         Fusion.optimize st.fusion ~force:(force st) gen body)
   in
   let f = apply_op op in

@@ -39,7 +39,7 @@ type settings = {
   cfun : bool;
       (** Stage rank-3 bodies no fixed kernel recognises into {!Cfun}
           compiled closures instead of the interpreted generic nest
-          (on at [O2]+ via {!Wl.settings}). *)
+          (on at [O2]+ via {!Engine.settings}). *)
   native : string option;
       (** AOT-compile those same bodies to shared-object kernels via
           {!Native}, with this cache directory ([None] = tier off).
@@ -51,17 +51,11 @@ type settings = {
           covered sweep whose operand dies at this node and is only
           read element-for-element writes its result through the dead
           operand's buffer instead of drawing from {!Mempool} (on at
-          [O2]+ via {!Wl.settings}; [mempool.reuse_hits] counts the
+          [O2]+ via {!Engine.settings}; [mempool.reuse_hits] counts the
           aliasing events). *)
   pooling : bool;
       (** Draw buffers from {!Mempool} arenas; [false] degrades every
-          allocation to a plain [create_uninit] (the engine-level
-          mirror of the [MG_POOLING] kill-switch). *)
-  observe : bool;
-      (** Engine-level observation gate: [false] skips trace/span
-          emission and their clock reads even when the process-wide
-          {!Mg_smp.Trace}/{!Mg_obs.Span} switches are on, so a silent
-          engine adds no noise to a concurrent observed one. *)
+          allocation to a plain [create_uninit]. *)
   cache : Plan.cache_entry Plan_cache.t;
       (** The owning engine's plan store ({!Plan.Cached} compiled
           plans, {!Plan.Uncacheable} negative entries). *)

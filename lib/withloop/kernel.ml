@@ -14,20 +14,25 @@ let c_interp = Metrics.counter "kernel.interp"
 let c_cfun = Metrics.counter "kernel.cfun"
 let c_native = Metrics.counter "kernel.native"
 
-(* Per-kernel ns/elt histograms (log₂ buckets).  Timing is off by
-   default — two clock reads per piece would tax production runs — and
-   switched on by the profiler and the bench harness. *)
-let timing = Atomic.make false
-let set_timing b = Atomic.set timing b
-let get_timing () = Atomic.get timing
+(* Per-kernel ns/elt histograms (log₂ buckets), one per dispatch
+   tier.  [ns_elt_names] is the single list the per-engine scope
+   shards are built from, so no tier can be left out of them.  Timing
+   runs exactly when span recording is on: two clock reads per piece
+   would tax production runs. *)
+let ns_elt tier =
+  let name = "kernel.ns_elt." ^ tier in
+  (name, Metrics.histogram name)
 
-let h_stencil = Metrics.histogram "kernel.ns_elt.stencil"
-let h_linebuf = Metrics.histogram "kernel.ns_elt.linebuf"
-let h_copy = Metrics.histogram "kernel.ns_elt.copy"
-let h_generic = Metrics.histogram "kernel.ns_elt.generic"
-let h_interp = Metrics.histogram "kernel.ns_elt.interp"
-let h_cfun = Metrics.histogram "kernel.ns_elt.cfun"
-let h_native = Metrics.histogram "kernel.ns_elt.native"
+let ns_stencil = ns_elt "stencil"
+let ns_linebuf = ns_elt "linebuf"
+let ns_copy = ns_elt "copy"
+let ns_generic = ns_elt "generic"
+let ns_interp = ns_elt "interp"
+let ns_cfun = ns_elt "cfun"
+let ns_native = ns_elt "native"
+
+let ns_elt_names =
+  List.map fst [ ns_stencil; ns_linebuf; ns_copy; ns_generic; ns_interp; ns_cfun; ns_native ]
 
 let counters () =
   [ ("stencil", Metrics.value c_stencil);
@@ -751,29 +756,21 @@ let run_k3_untimed ~const k (clusters : ccluster array) (out : Ndarray.buffer) ~
       Metrics.incr c_generic;
       run_generic3 ~const clusters out ~obase ~osteps ~counts
 
-let h_of = function
-  | K3copy -> h_copy
-  | K3stencil _ -> h_stencil
-  | K3stencil_lb _ -> h_linebuf
-  | K3zip | K3flat -> h_interp
-  | K3cfun _ -> h_cfun
-  | K3native _ -> h_native
-  | K3generic -> h_generic
-
-(* The per-engine shard of the same family, routed through the
-   installed scope's pre-interned labelled histogram. *)
-let hname_of = function
-  | K3copy -> "kernel.ns_elt.copy"
-  | K3stencil _ -> "kernel.ns_elt.stencil"
-  | K3stencil_lb _ -> "kernel.ns_elt.linebuf"
-  | K3zip | K3flat -> "kernel.ns_elt.interp"
-  | K3cfun _ -> "kernel.ns_elt.cfun"
-  | K3native _ -> "kernel.ns_elt.native"
-  | K3generic -> "kernel.ns_elt.generic"
+(* The aggregate histogram and the name of its per-engine shard,
+   which [Scope.observe] routes to the installed scope's pre-interned
+   labelled histogram. *)
+let ns_of = function
+  | K3copy -> ns_copy
+  | K3stencil _ -> ns_stencil
+  | K3stencil_lb _ -> ns_linebuf
+  | K3zip | K3flat -> ns_interp
+  | K3cfun _ -> ns_cfun
+  | K3native _ -> ns_native
+  | K3generic -> ns_generic
 
 let run_k3 ~const k (clusters : ccluster array) (out : Ndarray.buffer) ~obase ~osteps
     ~(counts : int array) =
-  if not (Atomic.get timing) then
+  if not (Mg_obs.Span.enabled ()) then
     run_k3_untimed ~const k clusters out ~obase ~osteps ~counts
   else begin
     let t0 = Mg_smp.Clock.now_ns () in
@@ -781,8 +778,9 @@ let run_k3 ~const k (clusters : ccluster array) (out : Ndarray.buffer) ~obase ~o
     let dt = Int64.to_int (Int64.sub (Mg_smp.Clock.now_ns ()) t0) in
     let elts = counts.(0) * counts.(1) * counts.(2) in
     if elts > 0 then begin
-      Metrics.observe (h_of k) (dt / elts);
-      Mg_obs.Scope.observe (hname_of k) (dt / elts)
+      let name, h = ns_of k in
+      Metrics.observe h (dt / elts);
+      Mg_obs.Scope.observe name (dt / elts)
     end
   end
 

@@ -35,14 +35,18 @@ val reset_counters : unit -> unit
 
 (** {1 Per-kernel timing}
 
-    When enabled, {!run_k3} times each piece and records truncated
-    ns-per-element into per-path log₂ histograms
-    ([kernel.ns_elt.stencil], [kernel.ns_elt.cfun], …), rendered by
-    {!Mg_obs.Profile_report} and dumped into [bench.json].  Off by
-    default: timing costs two monotonic clock reads per piece. *)
+    While span recording is on ({!Mg_obs.Span.enabled}), {!run_k3}
+    times each piece and records truncated ns-per-element into
+    per-path log₂ histograms ([kernel.ns_elt.stencil],
+    [kernel.ns_elt.cfun], …), rendered by {!Mg_obs.Profile_report},
+    and into the current {!Mg_obs.Scope}'s per-engine shard of the
+    same family.  Off with spans: timing costs two monotonic clock
+    reads per piece. *)
 
-val set_timing : bool -> unit
-val get_timing : unit -> bool
+val ns_elt_names : string list
+(** The [kernel.ns_elt.<tier>] histogram names, one per dispatch
+    tier — what per-engine scopes must shard so that no tier's
+    timings are dropped. *)
 
 (** {1 Rank-3 kernel dispatch} *)
 

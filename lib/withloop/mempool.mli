@@ -32,21 +32,21 @@
     so scopes cannot reclaim them — under {!set_debug}, {!escape} and
     {!keep} additionally verify that invariant.
 
-    {2 Kill-switch}
+    {2 Pooling off}
 
-    [MG_POOLING=0] in the environment (or {!set_pooling}[ false])
-    degrades every allocation to a plain [Ndarray.create_uninit] and
-    makes recycling and scopes no-ops — the A/B baseline for
-    ablation.  In-place reuse ([Plan.OReuse]) is orthogonal and stays
-    active. *)
+    An engine configured with [pooling = false] (the [MG_POOLING=0]
+    environment default) passes [~pooling:false] down: every
+    allocation degrades to a plain [Ndarray.create_uninit] and
+    recycling is a no-op — the A/B baseline for ablation.  In-place
+    reuse ([Plan.OReuse]) is orthogonal and stays active. *)
 
 open Mg_ndarray
 
 val alloc : ?pooling:bool -> Shape.t -> Ndarray.t
 (** A (possibly recycled, uninitialised) array of the given shape,
-    drawn from the calling domain's arena.  [?pooling] carries the
-    calling engine's configuration; when omitted the process-wide
-    kill-switch default ({!set_pooling}) decides. *)
+    drawn from the calling domain's arena.  [?pooling] (default
+    [true]) carries the calling engine's configuration; [false]
+    allocates a fresh buffer outside the pool. *)
 
 val recycle : ?pooling:bool -> Ndarray.t -> unit
 (** Return a dead buffer to the calling domain's arena.  The caller
@@ -110,16 +110,6 @@ val escape : Ndarray.t -> unit
 val keep : Ndarray.t -> unit
 (** The array survives the current scope pool-owned ([Wl.materialize]'s
     loop-carried iterate).  Debug-only tripwire like {!escape}. *)
-
-(** {1 Kill-switch} *)
-
-val set_pooling : bool -> unit
-(** [false] degrades {!alloc} to [Ndarray.create_uninit] and makes
-    {!recycle} and scope tracking no-ops.  Initialised from
-    [MG_POOLING] ([0]/[off]/[false] disable).  Toggle between runs,
-    not mid-scope. *)
-
-val get_pooling : unit -> bool
 
 (** {1 Diagnostics} *)
 

@@ -4,8 +4,8 @@
    off, MG_POOLING=0 the arena allocator; the CI matrix runs the legs,
    asserting the results are independent of either.  All of them reach
    the suite through Engine.config_of_env — the default engine is
-   built from the environment, nothing is mutated here, so the suite
-   also runs unchanged under MG_ENGINE_STRICT=1 (shim setters raise). *)
+   built from the environment; tests vary settings only by deriving
+   engines. *)
 let () =
   let c = Mg_withloop.Engine.config (Mg_withloop.Engine.default ()) in
   if c.Mg_withloop.Engine.threads > 1 then
@@ -15,8 +15,6 @@ let () =
     Printf.printf "MG_REUSE=0: buffer-reuse pass disabled\n%!";
   if not c.Mg_withloop.Engine.pooling then
     Printf.printf "MG_POOLING=0: arena pooling disabled\n%!";
-  if Mg_withloop.Engine.strict () then
-    Printf.printf "MG_ENGINE_STRICT=1: compat-shim mutation is a hard error\n%!";
   Alcotest.run "sac_mg"
     [ Test_shape.suite;
       Test_ndarray.suite;

@@ -10,7 +10,9 @@ let ramp shp = Ndarray.init shp (fun iv -> float_of_int (Shape.ravel ~shape:shp 
 
 let all_levels f =
   List.iter
-    (fun l -> Wl.with_opt_level l (fun () -> f (Wl.opt_level_to_string l)))
+    (fun l ->
+      Wl.with_config (fun c -> { c with Engine.opt_level = l }) (fun () ->
+          f (Wl.opt_level_to_string l)))
     [ Wl.O0; Wl.O1; Wl.O2; Wl.O3 ]
 
 let test_elementwise () =

@@ -90,7 +90,7 @@ let test_all_levels_agree () =
   let results =
     List.map
       (fun l ->
-        Wl.with_opt_level l (fun () ->
+        Wl.with_config (fun c -> { c with Engine.opt_level = l }) (fun () ->
             Wl.force (Border.setup_periodic_border (Wl.of_ndarray a))))
       [ Wl.O0; Wl.O1; Wl.O2; Wl.O3 ]
   in

@@ -44,17 +44,20 @@ let test_untraced_has_no_events () =
   let r = Driver.run ~impl:Driver.F77 ~cls:Classes.tiny () in
   Alcotest.(check int) "no events" 0 (List.length r.Driver.events)
 
-(* Driver.run derives a one-shot engine per call: its overrides must
-   be invisible to the caller's configuration afterwards. *)
+(* Solving under a derived engine must leave the caller's current
+   engine's configuration untouched. *)
 let test_config_isolated () =
   let open Mg_withloop in
-  let opt_before = Wl.get_opt_level () in
-  let threads_before = Wl.get_threads () in
-  ignore (Driver.run ~opt:Wl.O1 ~threads:2 ~impl:Driver.Sac ~cls:Classes.tiny ());
+  let cfg () = Engine.config (Engine.current ()) in
+  let before = cfg () in
+  let engine =
+    Engine.derive (Engine.current ()) (fun c -> { c with Engine.opt_level = Wl.O1; threads = 2 })
+  in
+  ignore (Driver.run ~engine ~impl:Driver.Sac ~cls:Classes.tiny ());
   Alcotest.(check string) "opt untouched"
-    (Wl.opt_level_to_string opt_before)
-    (Wl.opt_level_to_string (Wl.get_opt_level ()));
-  Alcotest.(check int) "threads untouched" threads_before (Wl.get_threads ())
+    (Wl.opt_level_to_string before.Engine.opt_level)
+    (Wl.opt_level_to_string (cfg ()).Engine.opt_level);
+  Alcotest.(check int) "threads untouched" before.Engine.threads (cfg ()).Engine.threads
 
 let test_schedule_determinism () =
   let r1 = Driver.run ~impl:Driver.F77 ~cls:Classes.mini () in

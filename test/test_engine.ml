@@ -1,9 +1,8 @@
 (* Engine reification: explicit Engine.t contexts must (1) carry
-   genuinely independent plan caches, (2) make concurrent solves with
-   different configurations from different domains bitwise-identical
-   to their sequential counterparts — the payoff gate for the whole
-   refactor — and (3) enforce strict mode against compat-shim
-   mutation. *)
+   genuinely independent plan caches and (2) make concurrent solves
+   with different configurations from different domains
+   bitwise-identical to their sequential counterparts — the payoff
+   gate for the whole refactor. *)
 
 open Mg_ndarray
 open Mg_withloop
@@ -64,9 +63,10 @@ let qcheck_caches_independent =
           && Ndarray.equal a1 a2 && Ndarray.equal a1 b1))
 
 (* ------------------------------------------------------------------ *)
-(* The payoff gate: two engines with different settings (cfun+tiled
-   vs generic+block) solving class S concurrently from two domains
-   produce bitwise-identical norms to their own sequential runs.      *)
+(* The payoff gate: two engines with different settings (cfun+tiled+
+   pooled vs generic+block+unpooled) solving class S concurrently from
+   two domains produce bitwise-identical norms to their own sequential
+   runs.                                                               *)
 
 let bits = Int64.bits_of_float
 
@@ -76,10 +76,18 @@ let test_concurrent_solves_bitwise () =
     { base with
       Engine.threads = 2;
       cfun = true;
+      pooling = true;
       sched = Mg_smp.Sched_policy.Tiled { planes = 2; rows = 32 };
     }
   in
-  let cfg_b = { base with Engine.threads = 2; cfun = false; sched = Mg_smp.Sched_policy.Static_block } in
+  let cfg_b =
+    { base with
+      Engine.threads = 2;
+      cfun = false;
+      pooling = false;
+      sched = Mg_smp.Sched_policy.Static_block;
+    }
+  in
   let ea = Engine.create ~config:cfg_a () in
   let eb = Engine.create ~config:cfg_b () in
   Fun.protect
@@ -216,32 +224,6 @@ let test_concurrent_telemetry_attribution () =
             r.Mg_obs.Flight.engine_id)
         (Engine.flight_log ea))
 
-(* ------------------------------------------------------------------ *)
-(* Strict mode                                                         *)
-
-let test_strict_mode_rejects_shim () =
-  let saved = Engine.strict () in
-  Fun.protect
-    ~finally:(fun () -> Engine.set_strict saved)
-    (fun () ->
-      Engine.set_strict true;
-      Alcotest.(check bool) "set_opt_level raises" true
-        (try
-           Wl.set_opt_level Wl.O1;
-           false
-         with Failure _ -> true);
-      Alcotest.(check bool) "set_native raises" true
-        (try
-           Wl.set_native true;
-           false
-         with Failure _ -> true);
-      (* Scoped combinators derive instead of mutating: still legal. *)
-      let got = Wl.with_opt_level Wl.O1 (fun () -> Wl.get_opt_level ()) in
-      Alcotest.(check string) "with_opt_level works under strict" "O1"
-        (Wl.opt_level_to_string got);
-      Alcotest.(check bool) "with_native works under strict" true
-        (Wl.with_native true (fun () -> Wl.get_native ())))
-
 (* The native flag must show in the flight-recorder config digest, so
    two otherwise identical engines differing only in the AOT tier are
    distinguishable in post-mortem records. *)
@@ -255,6 +237,29 @@ let test_native_in_fingerprint () =
       Alcotest.(check bool) "nt bit splits the fingerprint" true
         (Engine.config_fingerprint on <> Engine.config_fingerprint off))
 
+(* Every kernel tier's piece timings reach the engine's labelled shard:
+   a profiled class-S solve per tier leaves a non-empty
+   kernel.ns_elt.<tier>{engine=...} histogram. *)
+let test_tier_timings_sharded () =
+  List.iter
+    (fun (name, tier) ->
+      let e = test_engine () in
+      Fun.protect
+        ~finally:(fun () -> Engine.shutdown e)
+        (fun () ->
+          let engine = Engine.derive e (Engine.kernel_tier tier) in
+          Mg_obs.Span.with_enabled true (fun () ->
+              ignore (Driver.run ~engine ~impl:Driver.Sac ~cls:Classes.class_s ()));
+          Mg_obs.Span.clear ();
+          let shard =
+            Mg_obs.Metrics.histogram
+              ~labels:[ ("engine", string_of_int (Engine.label e)) ]
+              ("kernel.ns_elt." ^ name)
+          in
+          Alcotest.(check bool) (name ^ " shard non-empty") true
+            ((Mg_obs.Metrics.histogram_snapshot shard).Mg_obs.Metrics.count > 0)))
+    [ ("generic", `Generic); ("cfun", `Cfun); ("native", `Native) ]
+
 (* ------------------------------------------------------------------ *)
 (* Env parsing (hermetic via ~getenv)                                  *)
 
@@ -263,7 +268,6 @@ let test_config_of_env () =
     | "MG_PROCS" -> Some "4"
     | "MG_REUSE" -> Some "0"
     | "MG_POOLING" -> Some "off"
-    | "MG_OBSERVE" -> Some "1"
     | "MG_NATIVE" -> Some "on"
     | "MG_NATIVE_CACHE" -> Some " /tmp/mg-so-cache "
     | _ -> None
@@ -272,7 +276,6 @@ let test_config_of_env () =
   Alcotest.(check int) "MG_PROCS" 4 c.Engine.threads;
   Alcotest.(check bool) "MG_REUSE=0" false c.Engine.reuse;
   Alcotest.(check bool) "MG_POOLING=off" false c.Engine.pooling;
-  Alcotest.(check bool) "MG_OBSERVE=1" true c.Engine.observe;
   Alcotest.(check bool) "MG_NATIVE=on" true c.Engine.native;
   Alcotest.(check (option string)) "MG_NATIVE_CACHE trimmed" (Some "/tmp/mg-so-cache")
     c.Engine.native_cache;
@@ -284,7 +287,6 @@ let test_config_of_env () =
     (d.Engine.threads = dd.Engine.threads
     && d.Engine.reuse = dd.Engine.reuse
     && d.Engine.pooling = dd.Engine.pooling
-    && d.Engine.observe = dd.Engine.observe
     && d.Engine.native = dd.Engine.native
     && d.Engine.native_cache = dd.Engine.native_cache
     && d.Engine.opt_level = dd.Engine.opt_level);
@@ -319,9 +321,10 @@ let suite =
         test_concurrent_solves_bitwise;
       Alcotest.test_case "concurrent two-engine telemetry attribution" `Quick
         test_concurrent_telemetry_attribution;
-      Alcotest.test_case "strict mode rejects shim mutation" `Quick test_strict_mode_rejects_shim;
       Alcotest.test_case "native flag splits the config fingerprint" `Quick
         test_native_in_fingerprint;
+      Alcotest.test_case "kernel timings sharded for every tier" `Quick
+        test_tier_timings_sharded;
       Alcotest.test_case "config_of_env parses the matrix vars" `Quick test_config_of_env;
       Alcotest.test_case "derive shares cache, create does not" `Quick test_derive_shares_cache;
     ] )

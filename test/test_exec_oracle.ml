@@ -106,7 +106,8 @@ let qcheck_all_opt_levels =
     (fun s ->
       let results =
         List.map
-          (fun l -> Wl.with_opt_level l (fun () -> run_spec s))
+          (fun l ->
+            Wl.with_config (fun c -> { c with Engine.opt_level = l }) (fun () -> run_spec s))
           [ Wl.O0; Wl.O1; Wl.O2; Wl.O3 ]
       in
       List.for_all (fun ok -> ok) results)
@@ -161,8 +162,9 @@ let qcheck_cfun_bitwise_generic =
       (* Native off: this test pins the cfun tier specifically, and an
          MG_NATIVE=1 environment would otherwise take over the rung. *)
       let force cfun =
-        Wl.with_native false (fun () ->
-            Wl.with_cfun cfun (fun () -> Wl.with_opt_level Wl.O3 (fun () -> force_spec s)))
+        Wl.with_config
+          (fun c -> { c with Engine.native = false; cfun; opt_level = Wl.O3 })
+          (fun () -> force_spec s)
       in
       let before = Mg_obs.Metrics.value c_cfun in
       let compiled = force true in
@@ -252,14 +254,11 @@ let test_policies_backends_bitwise_identical () =
     (* Fresh plans per configuration; par_threshold 1 forces the
        parallel split even on this small grid. *)
     Wl.cache_clear ();
-    Wl.with_threads threads (fun () ->
-        Wl.with_par_threshold 1 (fun () ->
-            Wl.with_cfun cfun (fun () ->
-                Wl.with_sched_policy sched (fun () ->
-                    Wl.with_backend backend (fun () ->
-                        let w = Wl.of_ndarray src in
-                        Ndarray.copy
-                          (Wl.force (Wl.genarray ~default:0.0 shp [ (gen, body w) ])))))))
+    Wl.with_config
+      (fun c -> { c with Engine.threads; par_threshold = 1; cfun; sched; backend })
+      (fun () ->
+        let w = Wl.of_ndarray src in
+        Ndarray.copy (Wl.force (Wl.genarray ~default:0.0 shp [ (gen, body w) ])))
   in
   let policies =
     [ Mg_smp.Sched_policy.Static_block;
@@ -309,7 +308,6 @@ let test_policies_backends_bitwise_identical () =
    drives it from several domains at once and checks it still hands
    out usable arrays. *)
 let test_mempool_concurrent () =
- Wl.with_pooling true @@ fun () ->
   Mempool.clear ();
   let pool = Mg_smp.Domain_pool.create 4 in
   let shp = [| 17; 13 |] in

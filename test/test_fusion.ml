@@ -37,7 +37,7 @@ let star = [ (0, 0, 0.5); (-1, 0, 0.125); (1, 0, 0.125); (0, -1, 0.125); (0, 1, 
    set at module load: a toplevel assignment would leak into every
    other suite linked into the same binary and perturb their
    clustering, breaking the bitwise golden-vector tests. *)
-let at_level l f = Wl.with_split_threshold 0 (fun () -> Wl.with_opt_level l f)
+let at_level l f = Wl.with_config (fun c -> { c with Engine.split_threshold = 0; opt_level = l }) f
 
 let run_pipeline () =
   (* condense . relax — the Fine2Coarse shape. *)

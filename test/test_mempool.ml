@@ -1,7 +1,9 @@
 (* The per-domain arena allocator: scope (mark/reset) semantics, stats
-   and clear, capacity caps, the MG_POOLING kill-switch, and — the
-   property that matters — bitwise-identical results with pooling on
-   and off, under arbitrary nestings of scopes. *)
+   and clear, capacity caps, the unpooled path an engine with
+   [pooling = false] takes, and — the property that matters —
+   bitwise-identical results with pooling on and off, under arbitrary
+   nestings of scopes.  Direct Mempool calls are pooled whatever the
+   environment says; engine forces are pinned with [Wl.with_config]. *)
 
 open Mg_ndarray
 open Mg_withloop
@@ -13,7 +15,6 @@ let same_buffer (a : Ndarray.t) (b : Ndarray.t) = a.Ndarray.data == b.Ndarray.da
 (* Satellite: [clear] must zero the reuse/recycle counters, not just
    drop the buffers — repeated bench runs read deltas from zero. *)
 let test_clear_resets_stats () =
-  Wl.with_pooling true @@ fun () ->
   Mempool.clear ();
   let shp = [| 11; 7 |] in
   for _ = 1 to 5 do
@@ -30,7 +31,6 @@ let test_clear_resets_stats () =
   Alcotest.(check int) "bytes_live zero after clear" 0 s.Mempool.bytes_live
 
 let test_capacity_cap () =
-  Wl.with_pooling true @@ fun () ->
   Mempool.clear ();
   let n = Mempool.max_per_class + 8 in
   let shp = [| 53 |] in
@@ -47,7 +47,6 @@ let test_capacity_cap () =
 (* A buffer recycled inside a scope is pending, not free: it must not
    be handed back out until the matching [reset]. *)
 let test_scope_defers_recycle () =
-  Wl.with_pooling true @@ fun () ->
   Mempool.clear ();
   let shp = [| 31; 3 |] in
   Mempool.mark ();
@@ -94,7 +93,6 @@ let qcheck_scopes_shadow_model =
   let arb = QCheck.make ~print:print_ops QCheck.Gen.(list_size (10 -- 80) op) in
   QCheck.Test.make ~name:"scoped arena vs shadow model (sentinels intact)" ~count:200 arb
     (fun ops ->
-      Wl.with_pooling true @@ fun () ->
       Mempool.clear ();
       let sizes = [| [| 17 |]; [| 17; 2 |]; [| 5; 7 |] |] in
       let live = ref [] in
@@ -139,7 +137,7 @@ let qcheck_scopes_shadow_model =
    inside a scope must survive the [reset] — debug NaN-poisoning of
    reclaimed buffers turns any violation into a loud failure. *)
 let test_escape_through_reset () =
-  Wl.with_pooling true @@ fun () ->
+  Wl.with_config (fun c -> { c with Engine.pooling = true }) @@ fun () ->
   Mempool.clear ();
   Mempool.set_debug true;
   Fun.protect ~finally:(fun () -> Mempool.set_debug false) @@ fun () ->
@@ -159,8 +157,7 @@ let test_escape_through_reset () =
    operand's buffer (Plan.OReuse) is still a live, escaped result —
    the scope reset must not reclaim the aliased buffer. *)
 let test_reuse_alias_survives_reset () =
-  Wl.with_pooling true @@ fun () ->
-  Wl.with_reuse true @@ fun () ->
+  Wl.with_config (fun c -> { c with Engine.pooling = true; reuse = true }) @@ fun () ->
   Mempool.clear ();
   Mempool.set_debug true;
   Fun.protect ~finally:(fun () -> Mempool.set_debug false) @@ fun () ->
@@ -180,20 +177,22 @@ let test_reuse_alias_survives_reset () =
    never the values). *)
 let test_solver_bitwise_pooling_on_off () =
   let rnm2 pooling =
-    (Driver.run ~pooling ~impl:Driver.Sac ~cls:Mg_core.Classes.tiny ()).Driver.rnm2
+    Wl.with_config
+      (fun c -> { c with Engine.pooling })
+      (fun () -> (Driver.run ~impl:Driver.Sac ~cls:Mg_core.Classes.tiny ()).Driver.rnm2)
   in
   Alcotest.(check int64) "sac/tiny rnm2 bitwise equal across pooling"
     (Int64.bits_of_float (rnm2 false))
     (Int64.bits_of_float (rnm2 true))
 
+(* What an engine configured with [pooling = false] passes down. *)
 let test_kill_switch_inert () =
-  Wl.with_pooling false @@ fun () ->
   Mempool.clear ();
   let shp = [| 13; 13 |] in
   Mempool.mark ();
-  let a = Mempool.alloc shp in
+  let a = Mempool.alloc ~pooling:false shp in
   Ndarray.fill a 7.0;
-  Mempool.recycle a;
+  Mempool.recycle ~pooling:false a;
   Mempool.reset ();
   Alcotest.(check (pair int int)) "pooling off cycles nothing" (0, 0) (Mempool.stats ());
   let s = Mempool.snapshot () in
@@ -202,7 +201,6 @@ let test_kill_switch_inert () =
 (* Satellite: the concurrent hammer, scoped — every worker brackets
    its batch in nested scopes on its own arena. *)
 let test_scoped_concurrent_hammer () =
-  Wl.with_pooling true @@ fun () ->
   Mempool.clear ();
   let pool = Mg_smp.Domain_pool.create 4 in
   let shp = [| 17; 13 |] in

@@ -159,8 +159,8 @@ let test_sac_all_opt_levels_agree () =
   let norms =
     List.map
       (fun l ->
-        let r = Driver.run ~opt:l ~impl:Driver.Sac ~cls () in
-        r.Driver.rnm2)
+        Mg_withloop.(Wl.with_config (fun c -> { c with Engine.opt_level = l }))
+          (fun () -> (Driver.run ~impl:Driver.Sac ~cls ()).Driver.rnm2))
       [ Mg_withloop.Wl.O0; Mg_withloop.Wl.O1; Mg_withloop.Wl.O2; Mg_withloop.Wl.O3 ]
   in
   match norms with
@@ -177,7 +177,10 @@ let test_sac_all_opt_levels_agree () =
 let test_sac_parallel_agrees () =
   let cls = Classes.tiny in
   let seq = Driver.run ~impl:Driver.Sac ~cls () in
-  let par = Driver.run ~threads:2 ~impl:Driver.Sac ~cls () in
+  let par =
+    Mg_withloop.(Wl.with_config (fun c -> { c with Engine.threads = 2 }))
+      (fun () -> Driver.run ~impl:Driver.Sac ~cls ())
+  in
   check_float "identical norm" seq.Driver.rnm2 par.Driver.rnm2
 
 (* Official NPB verification — class S end-to-end for all three

@@ -37,7 +37,11 @@ let test_relax_matches_oracle () =
 
 let test_relax_all_opt_levels () =
   let a = compact_random 8 7.0 in
-  let run l = Wl.with_opt_level l (fun () -> Wl.force (Mg_periodic.relax Stencil.p (Wl.of_ndarray a))) in
+  let run l =
+    Wl.with_config
+      (fun c -> { c with Engine.opt_level = l })
+      (fun () -> Wl.force (Mg_periodic.relax Stencil.p (Wl.of_ndarray a)))
+  in
   let base = run Wl.O0 in
   List.iter
     (fun l -> Alcotest.(check bool) "agree" true (Ndarray.max_abs_diff base (run l) < 1e-12))

@@ -90,7 +90,11 @@ let test_opt_levels_do_not_collide () =
      own env fingerprint, so each compiles once and then hits. *)
   List.iter
     (fun level ->
-      let got = Wl.with_opt_level level (fun () -> Wl.force (stencil_graph src 1.5)) in
+      let got =
+        Wl.with_config
+          (fun c -> { c with Engine.opt_level = level })
+          (fun () -> Wl.force (stencil_graph src 1.5))
+      in
       Alcotest.(check bool)
         (Printf.sprintf "correct at %s" (Wl.opt_level_to_string level))
         true
@@ -106,8 +110,9 @@ let test_threads_round_trip () =
      replay — bitwise-identically — under another.  (The derived
      engines share the same cache instance, so the stats accumulate.) *)
   let s1 = Wl.cache_stats () in
-  let b = Wl.with_threads 1 (fun () -> Wl.force (stencil_graph src 0.75)) in
-  let c = Wl.with_threads 4 (fun () -> Wl.force (stencil_graph src 0.75)) in
+  let with_threads threads f = Wl.with_config (fun c -> { c with Engine.threads }) f in
+  let b = with_threads 1 (fun () -> Wl.force (stencil_graph src 0.75)) in
+  let c = with_threads 4 (fun () -> Wl.force (stencil_graph src 0.75)) in
   let s2 = Wl.cache_stats () in
   check_exact "1 thread replay identical" a b;
   check_exact "4 thread replay identical" a c;
@@ -118,7 +123,7 @@ let test_line_buffers_env_split () =
   let shp = [| 10; 10; 10 |] in
   let src = src_of_seed shp 6 in
   let force_with lb =
-    Wl.with_line_buffers lb (fun () ->
+    Wl.with_config (fun c -> { c with Engine.line_buffers = lb }) (fun () ->
         Wl.force (Mg_core.Mg_sac.relax_kernel Mg_core.Stencil.a (Wl.of_ndarray src)))
   in
   let plain = force_with false in
@@ -141,7 +146,7 @@ let test_native_env_split () =
   let shp = [| 10; 10; 10 |] in
   let src = src_of_seed shp 8 in
   let force_with nt =
-    Wl.with_native nt (fun () ->
+    Wl.with_config (fun c -> { c with Engine.native = nt }) (fun () ->
         Wl.force (Mg_core.Mg_sac.coarse2fine (Wl.of_ndarray src)))
   in
   let plain = force_with false in

@@ -222,8 +222,7 @@ let exec_settings ?(native = None) ~reuse ~cfun sched : Exec.settings =
     cfun;
     native;
     reuse;
-    pooling = Mempool.get_pooling ();
-    observe = true;
+    pooling = (Engine.config_of_env ()).Engine.pooling;
     cache = Plan_cache.create ();
     pool = Mg_smp.Domain_pool.get_global;
     par_threshold = 1;
@@ -435,24 +434,22 @@ let test_escaped_operand_not_aliased () =
   Alcotest.(check bool) "escaped values untouched" true (Ndarray.equal parr snapshot)
 
 (* Debug-mode mempool guards: double recycle and pooled-buffer aliasing
-   are hard failures.  Both need the pool active, whatever MG_POOLING
-   the suite leg runs under. *)
+   are hard failures.  Direct Mempool calls are pooled whatever
+   MG_POOLING the suite leg runs under. *)
 let test_debug_double_recycle () =
-  Wl.with_pooling true (fun () ->
-      with_mempool_debug (fun () ->
-          let a = Mempool.alloc [| 11; 3 |] in
-          Mempool.recycle a;
-          Alcotest.check_raises "double recycle detected"
-            (Failure "Mempool: double recycle of a pooled buffer") (fun () -> Mempool.recycle a)))
+  with_mempool_debug (fun () ->
+      let a = Mempool.alloc [| 11; 3 |] in
+      Mempool.recycle a;
+      Alcotest.check_raises "double recycle detected"
+        (Failure "Mempool: double recycle of a pooled buffer") (fun () -> Mempool.recycle a))
 
 let test_assert_unpooled () =
-  Wl.with_pooling true (fun () ->
-      let a = Mempool.alloc [| 13 |] in
-      Mempool.assert_unpooled a.Ndarray.data ~ctx:"live buffer";
-      Mempool.recycle a;
-      Alcotest.check_raises "pooled buffer flagged"
-        (Failure "Mempool: in-place output aliases a pooled (free) buffer") (fun () ->
-          Mempool.assert_unpooled a.Ndarray.data ~ctx:"in-place output"))
+  let a = Mempool.alloc [| 13 |] in
+  Mempool.assert_unpooled a.Ndarray.data ~ctx:"live buffer";
+  Mempool.recycle a;
+  Alcotest.check_raises "pooled buffer flagged"
+    (Failure "Mempool: in-place output aliases a pooled (free) buffer") (fun () ->
+      Mempool.assert_unpooled a.Ndarray.data ~ctx:"in-place output")
 
 (* ------------------------------------------------------------------ *)
 (* The native AOT tier: dlopen'd C kernels held to the reference
@@ -610,9 +607,11 @@ let test_native_cc_poisoned () =
    the three scheduling policies under the native tier. *)
 let test_driver_tiers_bitwise () =
   let rnm2 ~cfun ~native ~threads ~sched =
-    (Mg_core.Driver.run ~opt:Wl.O3 ~threads ~sched ~cfun ~native ~impl:Mg_core.Driver.Sac
-       ~cls:Mg_core.Classes.tiny ())
-      .Mg_core.Driver.rnm2
+    Wl.with_config
+      (fun c -> { c with Engine.opt_level = Wl.O3; threads; sched; cfun; native })
+      (fun () ->
+        (Mg_core.Driver.run ~impl:Mg_core.Driver.Sac ~cls:Mg_core.Classes.tiny ())
+          .Mg_core.Driver.rnm2)
   in
   let want = rnm2 ~cfun:false ~native:false ~threads:1 ~sched:Mg_smp.Sched_policy.Static_block in
   List.iter

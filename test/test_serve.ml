@@ -336,19 +336,25 @@ let test_soak_bitwise () =
           ~config:{ cfg.Serve.engine_config with Engine.threads = cfg.Serve.solver_threads }
           ()
       in
-      let cfun, native =
-        match spec.Serve.tier with
-        | Some Serve.Generic -> (Some false, Some false)
-        | Some Serve.Cfun -> (Some true, Some false)
-        | Some Serve.Native -> (Some true, Some true)
-        | None -> (None, None)
+      (* The tier ladder spelled out independently of Serve's own
+         mapping, so a mis-mapped tier shows as a mismatch. *)
+      let twin_engine =
+        Engine.derive e (fun c ->
+            let cfun, native =
+              match spec.Serve.tier with
+              | Some Serve.Generic -> (false, false)
+              | Some Serve.Cfun -> (true, false)
+              | Some Serve.Native -> (true, true)
+              | None -> (c.Engine.cfun, c.Engine.native)
+            in
+            let sched = Option.value spec.Serve.sched ~default:c.Engine.sched in
+            { c with Engine.cfun; native; sched })
       in
       let twin =
         Fun.protect
           ~finally:(fun () -> Engine.shutdown e)
           (fun () ->
-            Driver.run ~engine:e ?sched:spec.Serve.sched ?cfun ?native ~impl:spec.Serve.impl
-              ~cls:spec.Serve.cls ())
+            Driver.run ~engine:twin_engine ~impl:spec.Serve.impl ~cls:spec.Serve.cls ())
       in
       List.iter
         (fun (r : Serve.response) ->
@@ -377,6 +383,24 @@ let wait_in_flight server n =
     Unix.sleepf 0.002
   done;
   Alcotest.(check int) "workers picked up the gates" n (Serve.stats server).Admission.in_flight
+
+(* Serving workers retire their Mempool arenas when they exit, so
+   creating and shutting down services leaves the arena registry the
+   size it was. *)
+let test_worker_arenas_retired () =
+  let cfg = { (Serve.default_config ()) with Serve.workers = 1 } in
+  let cycle () =
+    let server = Serve.create ~config:cfg () in
+    ignore (Serve.await server (Result.get_ok (Serve.submit server (Serve.request tiny_solve))));
+    Serve.shutdown server
+  in
+  let arenas () = (Mempool.snapshot ()).Mempool.arenas in
+  cycle ();
+  let before = arenas () in
+  for _ = 1 to 5 do
+    cycle ()
+  done;
+  Alcotest.(check int) "arenas unchanged across create/shutdown cycles" before (arenas ())
 
 let test_shutdown_drains () =
   let cfg = { (Serve.default_config ()) with Serve.workers = 2; capacity = 16 } in
@@ -522,6 +546,7 @@ let suite =
       Alcotest.test_case "idle tenant passes its turn" `Quick test_wrr_idle_tenant_passes;
       Alcotest.test_case "concurrent soak bitwise == sequential twins" `Quick test_soak_bitwise;
       Alcotest.test_case "shutdown drains in-flight and queued work" `Quick test_shutdown_drains;
+      Alcotest.test_case "worker arenas retired on shutdown" `Quick test_worker_arenas_retired;
       Alcotest.test_case "shutdown drain:false cancels queued work" `Quick
         test_shutdown_no_drain_cancels;
       Alcotest.test_case "poisoned request leaves server usable" `Quick test_poisoned_request;

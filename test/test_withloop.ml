@@ -8,7 +8,9 @@ let nd_testable = Alcotest.testable Ndarray.pp (Ndarray.equal ~eps:1e-12)
 
 let all_levels f =
   List.iter
-    (fun l -> Wl.with_opt_level l (fun () -> f (Wl.opt_level_to_string l)))
+    (fun l ->
+      Wl.with_config (fun c -> { c with Engine.opt_level = l }) (fun () ->
+          f (Wl.opt_level_to_string l)))
     [ Wl.O0; Wl.O1; Wl.O2; Wl.O3 ]
 
 let test_genarray_const () =
@@ -142,7 +144,7 @@ let test_parallel_matches_sequential () =
                     + read_offset s [| 0; 1 |] - const 4.0 * read s)) ])
   in
   let seq = make () in
-  let par = Wl.with_threads 2 (fun () -> Wl.with_par_threshold 16 make) in
+  let par = Wl.with_config (fun c -> { c with Engine.threads = 2; par_threshold = 16 }) make in
   Alcotest.check nd_testable "parallel = sequential" seq par
 
 let test_out_of_bounds_read_rejected () =
